@@ -2,7 +2,7 @@ GO ?= go
 BENCHOUT ?= bench-records
 STAMP ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 
-.PHONY: build test race vet fmt verify bench bench-go bench-compare alloc obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke
+.PHONY: build test race vet fmt verify bench bench-go bench-compare alloc fuzz-smoke obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke
 
 build:
 	$(GO) build ./...
@@ -33,10 +33,12 @@ fmt:
 # micro-batched /score path must beat the legacy per-request path at p99
 # under concurrent load), and the watchdog alert smoke (a synthetic p99
 # regression must fire the stock burn-rate rule, link a resolvable
-# exemplar trace and resolve after recovery), and the rca-smoke gate (the
+# exemplar trace and resolve after recovery), the rca-smoke gate (the
 # default-on candidate pruning must predict root-cause sets identical to
-# the unpruned loop on the fixed seed suite).
-verify: fmt vet build race alloc obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke
+# the unpruned loop on the fixed seed suite), and the fuzz-smoke run of
+# every native fuzz target (the OTLP scanner must agree with its
+# encoding/json oracle on every mutated input).
+verify: fmt vet build race alloc fuzz-smoke obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke
 
 # alloc runs the allocation-regression guards without the race detector:
 # the steady-state training step must allocate (essentially) nothing, the
@@ -48,10 +50,21 @@ verify: fmt vet build race alloc obs-overhead propagation-smoke serve-smoke aler
 # constants, the watchdog tick — disabled AND enabled steady state —
 # must allocate nothing, and a warm localisation query must stay inside
 # its per-query budget (a lost session cache re-encodes per counterfactual
-# and blows through it). These tests auto-skip under -race, so `make race`
-# alone would never exercise them.
+# and blows through it), and a warm OTLP decode must stay under 6
+# allocations per span (the reflection decoder it replaced made ~14).
+# These tests auto-skip under -race, so `make race` alone would never
+# exercise them.
 alloc:
-	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/tensor ./internal/core ./internal/obs ./internal/obs/alert ./internal/cluster ./internal/ingest ./internal/modelserver ./internal/rca
+	$(GO) test -run 'SteadyStateAllocs' -count=1 ./internal/tensor ./internal/core ./internal/obs ./internal/obs/alert ./internal/cluster ./internal/ingest ./internal/modelserver ./internal/rca ./internal/otel
+
+# fuzz-smoke runs each native fuzz target for five seconds: the
+# differential OTLP target (scanner vs the encoding/json oracle, same
+# verdict and DeepEqual spans) and the Zipkin/Jaeger round-trip targets.
+# The committed seed corpora also run as plain tests under `make test`.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeOTLP$$' -fuzztime=5s ./internal/otel
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeZipkin$$' -fuzztime=5s ./internal/otel
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeJaeger$$' -fuzztime=5s ./internal/otel
 
 # bench runs the paper's evaluation harness and leaves a machine-readable
 # BENCH_<name>.json per experiment in $(BENCHOUT), stamped with $(STAMP) so

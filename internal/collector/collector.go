@@ -23,6 +23,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"strconv"
 
 	"github.com/sleuth-rca/sleuth/internal/ingest"
 	"github.com/sleuth-rca/sleuth/internal/obs"
@@ -137,7 +138,7 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		// MaxBytesReader errors out past the limit instead of silently
 		// truncating the payload mid-span (which would surface as a
 		// nonsensical decode error and miscount the client's data).
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.MaxBodyBytes))
+		body, err := readBody(http.MaxBytesReader(w, r.Body, c.MaxBodyBytes), r.ContentLength, c.MaxBodyBytes)
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
@@ -155,8 +156,10 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		dt := obs.H("ingest.decode_us").Start()
 		spans, err := decode(body)
 		dt.Stop()
-		dsp.Annotate("http.body_bytes", fmt.Sprint(len(body)))
-		dsp.End()
+		if dsp != nil {
+			dsp.Annotate("http.body_bytes", strconv.Itoa(len(body)))
+			dsp.End()
+		}
 		if err != nil {
 			dsp.SetError(true)
 			// A payload that does not decode at all is one decode error;
@@ -172,8 +175,10 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 		}
 		ssp := obs.SpanFrom(r.Context()).Child("pipeline.submit")
 		accepted, rejected, dropped := c.Ingest.Submit(spans)
-		ssp.Annotate("spans.accepted", fmt.Sprint(accepted))
-		ssp.End()
+		if ssp != nil {
+			ssp.Annotate("spans.accepted", strconv.Itoa(accepted))
+			ssp.End()
+		}
 		obs.C("collector.spans_accepted").Add(int64(accepted))
 		obs.C(protoSpansAccepted).Add(int64(accepted))
 		obs.C("collector.spans_rejected").Add(int64(rejected))
@@ -186,5 +191,41 @@ func (c *Collector) ingest(proto string, decode func([]byte) ([]*trace.Span, err
 			w.WriteHeader(http.StatusAccepted)
 		}
 		fmt.Fprintf(w, `{"accepted":%d,"rejected":%d,"dropped":%d}`+"\n", accepted, rejected, dropped)
+	}
+}
+
+// maxBodyHint caps how much readBody allocates up front on the strength
+// of a declared Content-Length. The client controls that header, so a
+// larger hint would let a sender that declares a big body and then stalls
+// pin that much memory per connection; past the cap the buffer grows only
+// as bytes actually arrive. 1 MiB covers a 512-span OTLP export (~180 KB)
+// several times over.
+const maxBodyHint = 1 << 20
+
+// readBody reads r to EOF into a buffer sized from the request's declared
+// Content-Length, so a body of known length is read without the
+// grow-and-copy steps of io.ReadAll. The hint is capped at
+// min(limit, maxBodyHint) plus one byte (the reader enforces the limit
+// itself); an unknown length (-1, a chunked body) starts from a small
+// buffer and grows as io.ReadAll does.
+func readBody(r io.Reader, contentLength, limit int64) ([]byte, error) {
+	size := int64(512)
+	if contentLength >= 0 {
+		// One spare byte lets the final Read report EOF without a grow.
+		size = min(contentLength, limit, maxBodyHint) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
 	}
 }

@@ -1,13 +1,17 @@
 package collector
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/ingest"
@@ -137,6 +141,108 @@ func TestRejectsOversizedBody(t *testing.T) {
 	resp = post(t, srv.URL+"/v1/traces", small)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("at-limit payload: status = %d", resp.StatusCode)
+	}
+}
+
+// TestIngestChunkedBody: a body sent without a Content-Length (chunked,
+// so the receiver sees ContentLength == -1) must be read in full and
+// still be bounded by MaxBodyBytes.
+func TestIngestChunkedBody(t *testing.T) {
+	st := store.New()
+	col := New(st)
+	t.Cleanup(col.Close)
+	h := col.Handler()
+	var seenLength atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seenLength.Store(r.ContentLength)
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	spans := sampleSpans(t)
+	payload, err := otel.EncodeOTLP(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked := func(body []byte) *http.Response {
+		t.Helper()
+		// A bare io.Reader hides the length, so the client streams chunks.
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/traces", struct{ io.Reader }{bytes.NewReader(body)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		if got := seenLength.Load(); got != -1 {
+			t.Fatalf("server saw ContentLength %d, want -1", got)
+		}
+		return resp
+	}
+	if resp := chunked(payload); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	col.Ingest.Flush()
+	if st.SpanCount() != len(spans) {
+		t.Fatalf("stored %d spans, want %d", st.SpanCount(), len(spans))
+	}
+	col.MaxBodyBytes = int64(len(payload)) - 1
+	if resp := chunked(payload); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized chunked body: status = %d, want 413", resp.StatusCode)
+	}
+}
+
+// probeReader serves body and records the largest buffer a Read was
+// handed, i.e. how much memory the reader's caller committed up front.
+type probeReader struct {
+	body    *bytes.Reader
+	maxRead int
+}
+
+func (p *probeReader) Read(b []byte) (int, error) {
+	p.maxRead = max(p.maxRead, len(b))
+	return p.body.Read(b)
+}
+
+// TestReadBodyOverstatedLength: the Content-Length header is the
+// client's claim, not bytes received. A body far shorter than declared
+// must be read without committing a buffer of the declared size — that
+// would let a client that declares a big body and then stalls pin
+// MaxBodyBytes per connection — and over HTTP it must end as a 400 read
+// error, not a hang or a partial decode.
+func TestReadBodyOverstatedLength(t *testing.T) {
+	const declared = 32 << 20
+	body := bytes.Repeat([]byte("x"), 300)
+	pr := &probeReader{body: bytes.NewReader(body)}
+	got, err := readBody(pr, declared, declared)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("readBody = %d bytes, %v; want the %d-byte body", len(got), err, len(body))
+	}
+	if pr.maxRead > maxBodyHint+1 || cap(got) > maxBodyHint+1 {
+		t.Fatalf("declared %d bytes: read buffer %d, cap %d; want at most %d", declared, pr.maxRead, cap(got), maxBodyHint+1)
+	}
+
+	srv, st, col := testServer(t)
+	col.MaxBodyBytes = declared
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/traces HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", declared, body)
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("truncated body: status = %d, want 400", resp.StatusCode)
+	}
+	col.Ingest.Flush()
+	if n := st.SpanCount(); n != 0 {
+		t.Fatalf("stored %d spans from a truncated body", n)
 	}
 }
 

@@ -155,59 +155,18 @@ func EncodeOTLP(spans []*trace.Span) ([]byte, error) {
 	return json.Marshal(doc)
 }
 
-// DecodeOTLP parses an OTLP-style JSON document into canonical spans.
+// DecodeOTLP parses an OTLP-style JSON document into canonical spans. It
+// accepts exactly the documents, and returns exactly the spans, that
+// json.Unmarshal into the otlp* types followed by field mapping would (see
+// otlpjson.go), in one pass over the bytes without reflection.
 func DecodeOTLP(data []byte) ([]*trace.Span, error) {
-	var doc otlpDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("otel: parsing OTLP document: %w", err)
+	d := decoderPool.Get().(*otlpDecoder)
+	defer d.release()
+	d.data, d.pos, d.depth = data, 0, 0
+	if !d.document() {
+		return nil, fmt.Errorf("otel: parsing OTLP document: %w", d.err)
 	}
-	var out []*trace.Span
-	for _, rs := range doc.ResourceSpans {
-		service := ""
-		for _, kv := range rs.Resource.Attributes {
-			if kv.Key == "service.name" {
-				service = kv.Value.StringValue
-			}
-		}
-		for _, ss := range rs.ScopeSpans {
-			for _, o := range ss.Spans {
-				startNano, err := strconv.ParseInt(o.StartTimeUnixNano, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("otel: bad start time %q: %w", o.StartTimeUnixNano, err)
-				}
-				endNano, err := strconv.ParseInt(o.EndTimeUnixNano, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("otel: bad end time %q: %w", o.EndTimeUnixNano, err)
-				}
-				sp := &trace.Span{
-					TraceID:  o.TraceID,
-					SpanID:   o.SpanID,
-					ParentID: o.ParentSpanID,
-					Service:  service,
-					Name:     o.Name,
-					Kind:     kindFromOTLP(o.Kind),
-					Start:    startNano / 1000,
-					End:      endNano / 1000,
-					Error:    o.Status.Code == 2,
-				}
-				for _, kv := range o.Attributes {
-					switch kv.Key {
-					case "k8s.pod.name":
-						sp.Pod = kv.Value.StringValue
-					case "k8s.node.name":
-						sp.Node = kv.Value.StringValue
-					default:
-						if sp.Attrs == nil {
-							sp.Attrs = map[string]string{}
-						}
-						sp.Attrs[kv.Key] = kv.Value.StringValue
-					}
-				}
-				out = append(out, sp)
-			}
-		}
-	}
-	return out, nil
+	return d.spans()
 }
 
 // --- Zipkin-style representation -----------------------------------------

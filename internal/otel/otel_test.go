@@ -1,6 +1,9 @@
 package otel
 
 import (
+	"encoding/json"
+	"fmt"
+	"strconv"
 	"testing"
 
 	"github.com/sleuth-rca/sleuth/internal/sim"
@@ -8,7 +11,7 @@ import (
 	"github.com/sleuth-rca/sleuth/internal/trace"
 )
 
-func sampleSpans(t *testing.T) []*trace.Span {
+func sampleSpans(t testing.TB) []*trace.Span {
 	t.Helper()
 	s := sim.New(synth.Synthetic(16, 1), sim.DefaultOptions(1))
 	res, err := s.SimulateRequest(0, nil)
@@ -136,4 +139,62 @@ func TestOTLPBadTimestamps(t *testing.T) {
 	if _, err := DecodeOTLP([]byte(doc)); err == nil {
 		t.Fatal("bad timestamp accepted")
 	}
+}
+
+// decodeOTLPReference is the encoding/json implementation DecodeOTLP
+// replaced, kept verbatim as the oracle the scanner is checked against:
+// DecodeOTLP must return the same accept/reject verdict and
+// reflect.DeepEqual spans for every input.
+func decodeOTLPReference(data []byte) ([]*trace.Span, error) {
+	var doc otlpDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("otel: parsing OTLP document: %w", err)
+	}
+	var out []*trace.Span
+	for _, rs := range doc.ResourceSpans {
+		service := ""
+		for _, kv := range rs.Resource.Attributes {
+			if kv.Key == "service.name" {
+				service = kv.Value.StringValue
+			}
+		}
+		for _, ss := range rs.ScopeSpans {
+			for _, o := range ss.Spans {
+				startNano, err := strconv.ParseInt(o.StartTimeUnixNano, 10, 64)
+				if err != nil {
+					return nil, fmt.Errorf("otel: bad start time %q: %w", o.StartTimeUnixNano, err)
+				}
+				endNano, err := strconv.ParseInt(o.EndTimeUnixNano, 10, 64)
+				if err != nil {
+					return nil, fmt.Errorf("otel: bad end time %q: %w", o.EndTimeUnixNano, err)
+				}
+				sp := &trace.Span{
+					TraceID:  o.TraceID,
+					SpanID:   o.SpanID,
+					ParentID: o.ParentSpanID,
+					Service:  service,
+					Name:     o.Name,
+					Kind:     kindFromOTLP(o.Kind),
+					Start:    startNano / 1000,
+					End:      endNano / 1000,
+					Error:    o.Status.Code == 2,
+				}
+				for _, kv := range o.Attributes {
+					switch kv.Key {
+					case "k8s.pod.name":
+						sp.Pod = kv.Value.StringValue
+					case "k8s.node.name":
+						sp.Node = kv.Value.StringValue
+					default:
+						if sp.Attrs == nil {
+							sp.Attrs = map[string]string{}
+						}
+						sp.Attrs[kv.Key] = kv.Value.StringValue
+					}
+				}
+				out = append(out, sp)
+			}
+		}
+	}
+	return out, nil
 }
