@@ -30,7 +30,7 @@ fmt:
 # nothing" claim — plus the distributed-tracing propagation smoke test
 # (collector + model server in-process, one scored request, one joined
 # trace through the dogfood loop) and the serve-latency smoke test (the
-# micro-batched /score path must beat the legacy per-request path at p99
+# default /score server must beat the legacy per-request path at p99
 # under concurrent load), and the watchdog alert smoke (a synthetic p99
 # regression must fire the stock burn-rate rule, link a resolvable
 # exemplar trace and resolve after recovery), the rca-smoke gate (the
@@ -45,9 +45,9 @@ verify: fmt vet build race alloc fuzz-smoke obs-overhead propagation-smoke serve
 # per-trace predict cost must stay a small constant, the clustering
 # engine's steady-state kernels (Eq. 1 merge, bounded-heap row selection,
 # packed-matrix access) must not allocate per call, the ingest tail
-# sampler's per-trace verdict must allocate nothing, a warm serving
-# request through the batcher must cost only the score kernel's per-trace
-# constants, the watchdog tick — disabled AND enabled steady state —
+# sampler's per-trace verdict must allocate nothing, the /score handler's
+# scoring call on a warm cached model must cost only the score kernel's
+# per-trace constants, the watchdog tick — disabled AND enabled steady state —
 # must allocate nothing, and a warm localisation query must stay inside
 # its per-query budget (a lost session cache re-encodes per counterfactual
 # and blows through it), and a warm OTLP decode must stay under 6
@@ -83,7 +83,8 @@ bench-go:
 # closed-loop serving) and prints ns/op, B/op and allocs/op deltas against
 # the committed baselines in $(BENCHOUT) — the regression gate for the
 # zero-allocation training work, the scale-out clustering engine, and the
-# micro-batched serving path.
+# single-pass serving path. Records carry the machine fingerprint they were
+# taken on; absolute deltas only mean something on the same machine.
 bench-compare:
 	$(GO) run ./cmd/benchrunner -exp hot -baseline $(BENCHOUT)
 
@@ -97,8 +98,8 @@ propagation-smoke:
 	$(GO) test -run 'TestPropagationSmoke' -count=1 .
 
 # serve-smoke is the online-serving latency gate: 8 concurrent clients
-# against the micro-batched /score server must see a better p99 than
-# against the legacy per-request path (disk model load + double forward).
+# against the default /score server must see a better p99 than against
+# the legacy per-request path (disk model load + double forward).
 serve-smoke:
 	$(GO) test -run 'TestServeLatencySmoke' -count=1 ./internal/modelserver
 

@@ -18,7 +18,7 @@
 // hdbscan clustering-pipeline experiment; "ingest" measures the staged
 // streaming pipeline's spans/sec and the sharded store's abnormal-fetch
 // flatness; "serve" is the closed-loop /score comparison of the legacy
-// per-request path against the micro-batched server, with a hard ≥2×
+// per-request path against the shipped server, with a hard ≥2×
 // throughput / equal-or-better p99 acceptance check; "rca" compares the
 // pre-rework per-call localisation loop against the incremental
 // counterfactual session with and without candidate pruning, with hard
@@ -26,13 +26,14 @@
 //
 // With -benchout, every experiment additionally writes a machine-readable
 // BENCH_<name>.json (op name, ns/op, allocs/op, bytes/op, timestamp from
-// -stamp) into the given directory, so the performance trajectory of the
-// pipeline accumulates across commits. `make bench` drives this. With
-// -baseline, each record is also diffed against the committed
-// BENCH_<name>.json in the given directory and the per-benchmark ns/op and
-// allocs/op deltas are printed (`make bench-compare`). -cpuprofile and
-// -memprofile write pprof profiles covering the selected experiments, so
-// kernel work is tuned from real profiles rather than guesswork.
+// -stamp, machine fingerprint) into the given directory, so the performance
+// trajectory of the pipeline accumulates across commits. `make bench`
+// drives this. With -baseline, each record is also diffed against the
+// committed BENCH_<name>.json in the given directory and the per-benchmark
+// ns/op and allocs/op deltas are printed (`make bench-compare`).
+// -cpuprofile and -memprofile write pprof profiles covering the selected
+// experiments, so kernel work is tuned from real profiles rather than
+// guesswork.
 package main
 
 import (
@@ -46,6 +47,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"sort"
 	"strings"
@@ -80,6 +82,45 @@ type benchResult struct {
 	Timestamp   string `json:"timestamp"`
 	Seed        uint64 `json:"seed"`
 	Full        bool   `json:"full"`
+	// Machine says where the record was measured; absolute ns/op only
+	// compares between records with the same fingerprint.
+	Machine *machine `json:"machine,omitempty"`
+}
+
+// machine is the fingerprint of the host and build that produced a record.
+type machine struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GitRev     string `json:"git_rev"`
+}
+
+// thisMachine fingerprints the running process. The git revision comes from
+// the binary's VCS stamp, so it is "unknown" under `go run`, and carries a
+// "+dirty" suffix when the build had uncommitted changes.
+func thisMachine() *machine {
+	m := &machine{CPU: runtime.GOARCH, GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				m.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	rev, dirty := "unknown", ""
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range info.Settings {
+			switch {
+			case kv.Key == "vcs.revision":
+				rev = kv.Value
+			case kv.Key == "vcs.modified" && kv.Value == "true":
+				dirty = "+dirty"
+			}
+		}
+	}
+	m.GitRev = rev + dirty
+	return m
 }
 
 // recordName maps an experiment name to its BENCH_<name>.json filename
@@ -209,6 +250,7 @@ func main() {
 	// record persists one benchResult and, with -baseline, prints the
 	// per-benchmark ns/op and allocs/op deltas against the committed record.
 	record := func(res benchResult) {
+		res.Machine = thisMachine()
 		if *baseline != "" {
 			path := filepath.Join(*baseline, "BENCH_"+recordName(res.Op)+".json")
 			if data, err := os.ReadFile(path); err == nil {
@@ -510,15 +552,14 @@ func main() {
 	}
 
 	// The serve experiment is closed-loop rather than a runHot call: 8
-	// concurrent clients hammer an in-process model server and three arms
-	// are compared — the pre-rework path (per-request gob load from disk +
-	// one forward for predictions and another for the loss, reproduced
-	// inline), the reworked single-pass path with micro-batching disabled,
-	// and the full deadline-aware micro-batched path. The acceptance bar is
-	// hard: batched must deliver ≥2× the legacy throughput at an
-	// equal-or-better p99, or the run fails.
+	// concurrent clients hammer an in-process model server and two arms are
+	// compared — the pre-rework path (per-request gob load from disk + one
+	// forward for predictions and another for the loss, reproduced inline)
+	// and the shipped server (cached model, one single-pass ScoreBatch per
+	// request). The acceptance bar is hard: shipped must deliver ≥2× the
+	// legacy throughput at an equal-or-better p99, or the run fails.
 	if selected["serve"] {
-		fmt.Printf("\n=== SERVE — closed-loop /score: legacy vs single-pass vs micro-batched (8 clients) ===\n")
+		fmt.Printf("\n=== SERVE — closed-loop /score: legacy vs shipped (8 clients) ===\n")
 		dir, err := os.MkdirTemp("", "benchserve")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchrunner: serve: %v\n", err)
@@ -627,45 +668,35 @@ func main() {
 			json.NewEncoder(w).Encode(resp)
 		}))
 		defer legacySrv.Close()
-		soloSrv := httptest.NewServer((&modelserver.Server{
-			Registry: reg,
-			Serve:    modelserver.ServeConfig{Batch: 1},
-		}).Handler())
-		defer soloSrv.Close()
-		batchedSrv := httptest.NewServer((&modelserver.Server{
-			Registry: reg,
-			Serve:    modelserver.ServeConfig{Batch: 16, Wait: time.Millisecond},
-		}).Handler())
-		defer batchedSrv.Close()
+		shippedSrv := httptest.NewServer((&modelserver.Server{Registry: reg}).Handler())
+		defer shippedSrv.Close()
 
-		// Warm every arm (connections, model cache, arena pool) before
-		// measuring, then measure legacy → single-pass → batched.
-		for _, u := range []string{legacySrv.URL, soloSrv.URL, batchedSrv.URL} {
+		// Warm both arms (connections, model cache, arena pool) before
+		// measuring, then measure legacy → shipped.
+		for _, u := range []string{legacySrv.URL, shippedSrv.URL} {
 			drive(u, rounds/4+1)
 		}
 		legacyThr, legacyP50, legacyP99 := drive(legacySrv.URL, rounds)
-		soloThr, soloP50, soloP99 := drive(soloSrv.URL, rounds)
 		runtime.GC()
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
-		batchedThr, batchedP50, batchedP99 := drive(batchedSrv.URL, rounds)
+		shippedThr, shippedP50, shippedP99 := drive(shippedSrv.URL, rounds)
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
 
-		fmt.Printf("  legacy      %8.1f req/s   p50 %-10s p99 %s\n", legacyThr, legacyP50.Round(time.Microsecond), legacyP99.Round(time.Microsecond))
-		fmt.Printf("  single-pass %8.1f req/s   p50 %-10s p99 %s\n", soloThr, soloP50.Round(time.Microsecond), soloP99.Round(time.Microsecond))
-		fmt.Printf("  batched     %8.1f req/s   p50 %-10s p99 %s\n", batchedThr, batchedP50.Round(time.Microsecond), batchedP99.Round(time.Microsecond))
-		fmt.Printf("batched vs legacy: %.2fx throughput, p99 %s vs %s\n",
-			batchedThr/legacyThr, batchedP99.Round(time.Microsecond), legacyP99.Round(time.Microsecond))
-		if batchedThr < 2*legacyThr || batchedP99 > legacyP99 {
-			fmt.Fprintf(os.Stderr, "benchrunner: serve: batched must be >=2x legacy throughput at equal-or-better p99 (got %.2fx, p99 %v vs %v)\n",
-				batchedThr/legacyThr, batchedP99, legacyP99)
+		fmt.Printf("  legacy   %8.1f req/s   p50 %-10s p99 %s\n", legacyThr, legacyP50.Round(time.Microsecond), legacyP99.Round(time.Microsecond))
+		fmt.Printf("  shipped  %8.1f req/s   p50 %-10s p99 %s\n", shippedThr, shippedP50.Round(time.Microsecond), shippedP99.Round(time.Microsecond))
+		fmt.Printf("shipped vs legacy: %.2fx throughput, p99 %s vs %s\n",
+			shippedThr/legacyThr, shippedP99.Round(time.Microsecond), legacyP99.Round(time.Microsecond))
+		if shippedThr < 2*legacyThr || shippedP99 > legacyP99 {
+			fmt.Fprintf(os.Stderr, "benchrunner: serve: shipped must be >=2x legacy throughput at equal-or-better p99 (got %.2fx, p99 %v vs %v)\n",
+				shippedThr/legacyThr, shippedP99, legacyP99)
 			os.Exit(1)
 		}
 		requests := uint64(clients * rounds)
 		record(benchResult{
 			Op:          "serve",
-			NsPerOp:     int64(1e9 / batchedThr),
+			NsPerOp:     int64(1e9 / shippedThr),
 			AllocsPerOp: (after.Mallocs - before.Mallocs) / requests,
 			BytesPerOp:  (after.TotalAlloc - before.TotalAlloc) / requests,
 			Timestamp:   *stamp,

@@ -14,7 +14,7 @@
 //	GET  /models/{name}/{version}         pinned blob
 //	GET  /models/{name}/{version}/lineage ancestry (JSON)
 //	POST /models/{name}/{version}/retire  retire a version
-//	POST /models/{name}/{version}/score   batched inference (JSON spans)
+//	POST /models/{name}/{version}/score   inference over JSON spans (503 + Retry-After past 64 in flight)
 //	POST /cluster/add                     stream spans into incremental clustering
 //	GET  /cluster/stats                   incremental clustering snapshot (JSON)
 //	POST /cluster/rebuild                 force a full recluster
@@ -51,12 +51,8 @@ func main() {
 			"metric sampling interval for /debug/series (0 disables; SLEUTH_OBS_SAMPLE overrides the default)")
 		selfpost = flag.String("selfpost", os.Getenv("SLEUTH_OBS_SELFPOST"),
 			"mirror sampled self-traces to this collector URL for the dogfood loop (SLEUTH_OBS_SELFPOST overrides the default)")
-		serveBatch = flag.Int("serve-batch", 0,
-			"max traces coalesced into one shared /score inference (0 = SLEUTH_SERVE_BATCH or 32; <=1 disables micro-batching)")
-		serveWait = flag.Duration("serve-wait", 0,
-			"max time a queued /score request waits for co-batched company (0 = SLEUTH_SERVE_WAIT or 2ms)")
 		predictWorkers = flag.Int("predict-workers", 0,
-			"inference workers per shared score call (0 = SLEUTH_PREDICT_WORKERS or GOMAXPROCS)")
+			"inference workers per /score request (0 = SLEUTH_PREDICT_WORKERS or GOMAXPROCS)")
 		clusterStream = flag.Bool("cluster", false,
 			"enable the streaming clustering endpoints (/cluster/add, /cluster/stats, /cluster/rebuild)")
 		watchdog = flag.Bool("watchdog", true,
@@ -83,11 +79,7 @@ func main() {
 	}
 	server := &modelserver.Server{
 		Registry: reg,
-		Serve: modelserver.ServeConfig{
-			Batch:   *serveBatch,
-			Wait:    *serveWait,
-			Workers: *predictWorkers,
-		},
+		Serve:    modelserver.ServeConfig{Workers: *predictWorkers},
 	}
 	if *clusterStream {
 		server.Cluster = modelserver.NewStreamCluster()
@@ -101,7 +93,7 @@ func main() {
 	warmed := reg.WarmCache()
 
 	// Self-watchdog: default serving pack (p99 burn rate, error-rate burn,
-	// batcher queueing, score drift) plus any operator rule file. A score
+	// admission shedding, score drift) plus any operator rule file. A score
 	// drift alert triggers a full recluster when streaming clustering is
 	// on — the drift hook the incremental engine consumes.
 	var engine *alert.Engine

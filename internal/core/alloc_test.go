@@ -78,8 +78,8 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 }
 
 // TestServeSteadyStateAllocs is the online-serving allocation gate: a warm
-// ScoreBatch call over a small request-sized batch — the shape the /score
-// micro-batcher produces continuously — must stay within a small constant
+// ScoreBatch call over a small request-sized batch — the shape every /score
+// request hands it — must stay within a small constant
 // per call. The pooled worker arenas arrive pre-grown, so the only per-call
 // heap traffic is the result slices and the per-trace prediction copies.
 func TestServeSteadyStateAllocs(t *testing.T) {

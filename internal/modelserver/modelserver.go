@@ -225,7 +225,7 @@ func (r *Registry) resolveInfo(name, versionStr string) (ModelInfo, error) {
 }
 
 // sharedModel returns the cached in-memory instance of a version, loading
-// the blob once per process. The pre-batcher serving path deserialized the
+// the blob once per process. The original serving path deserialized the
 // gob from disk on EVERY request — for a small model that load dominated
 // the forward pass it fed.
 func (r *Registry) sharedModel(info ModelInfo) (*core.Model, error) {
@@ -326,7 +326,7 @@ func (r *Registry) Lineage(name string, version int) ([]ModelInfo, error) {
 //	GET  /models/{name}/{version}/lineage  ancestor list (JSON)
 //	POST /models/{name}?trainedOn=...&parent={name}@{version}   publish blob
 //	POST /models/{name}/{version}/retire   retire
-//	POST /models/{name}/{version}/score    batched inference (JSON spans)
+//	POST /models/{name}/{version}/score    inference over JSON spans (503 when saturated)
 //	POST /cluster/add                      stream spans into incremental clustering
 //	GET  /cluster/stats                    incremental clustering snapshot (JSON)
 //	POST /cluster/rebuild                  force a full recluster
@@ -343,8 +343,8 @@ type Server struct {
 	// (method, path, status, duration, request ID). The request ID is
 	// echoed in the X-Request-ID response header either way.
 	AccessLog *log.Logger
-	// Serve tunes the /score micro-batcher; the zero value resolves the
-	// SLEUTH_SERVE_BATCH / SLEUTH_SERVE_WAIT environment knobs.
+	// Serve tunes the /score inference call; the zero value resolves
+	// SLEUTH_PREDICT_WORKERS, then GOMAXPROCS.
 	Serve ServeConfig
 	// Cluster, when non-nil, enables the streaming clustering endpoints
 	// (/cluster/add, /cluster/stats, /cluster/rebuild).
@@ -354,10 +354,34 @@ type Server struct {
 	// ReadyCheck here).
 	Ready []obs.ReadyCheck
 
-	// batchers coalesce concurrent score requests per concrete model
-	// version, created lazily on first score of that version.
-	batcherMu sync.Mutex
-	batchers  map[string]*batcher
+	// scoring counts /score requests holding an admission slot.
+	scoring atomic.Int64
+}
+
+// ServeConfig tunes the /score serving path.
+type ServeConfig struct {
+	// Workers is passed to core's ScoreBatch per request; 0 defers to
+	// SLEUTH_PREDICT_WORKERS, then GOMAXPROCS.
+	Workers int
+}
+
+// maxInflightScores bounds concurrent /score inference calls. Past it the
+// server sheds with 503 and Retry-After instead of queueing without limit:
+// every admitted request runs its own ScoreBatch, so an unbounded backlog
+// would only stretch every request's latency. A slot covers inference only,
+// never the body read, so slow clients cannot hold slots.
+const maxInflightScores = 64
+
+// scoreAdmitted runs ScoreBatch under an admission slot, reporting false
+// without scoring when all maxInflightScores slots are taken.
+func (s *Server) scoreAdmitted(m *core.Model, traces []*trace.Trace) (durs, errs [][]float64, losses []float64, ok bool) {
+	if s.scoring.Add(1) > maxInflightScores {
+		s.scoring.Add(-1)
+		return nil, nil, nil, false
+	}
+	defer s.scoring.Add(-1)
+	durs, errs, losses = m.ScoreBatch(traces, s.Serve.Workers)
+	return durs, errs, losses, true
 }
 
 // WarmCache preloads the latest non-retired version of every model into
@@ -402,25 +426,12 @@ func (s *Server) Handler() http.Handler {
 		},
 	}}, s.Ready...)
 	mux.HandleFunc("/readyz", obs.ReadyHandler("modelserver", checks...))
+	// Register the shed counter at zero so the sampler records a baseline
+	// before the first shed, letting modelserver_score_shedding see the
+	// very first overload episode as a delta.
+	obs.C("modelserver.score.shed")
 	obs.Mount(mux)
 	return obs.AccessLog("modelserver", s.AccessLog, mux)
-}
-
-// batcherFor returns the per-version micro-batcher, creating it on first
-// use. One batcher per concrete version: requests only share an inference
-// call when they share a model.
-func (s *Server) batcherFor(key string, m *core.Model) *batcher {
-	s.batcherMu.Lock()
-	defer s.batcherMu.Unlock()
-	if b, ok := s.batchers[key]; ok {
-		return b
-	}
-	if s.batchers == nil {
-		s.batchers = map[string]*batcher{}
-	}
-	b := newBatcher(m, s.Serve)
-	s.batchers[key] = b
-	return b
 }
 
 func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {
@@ -543,14 +554,15 @@ type ScoreResponse struct {
 	Skipped int `json:"skipped"`
 }
 
-// score runs batched inference with the requested model version: spans are
-// assembled into traces and pushed through the per-version micro-batcher,
-// which coalesces concurrent requests into shared single-pass ScoreBatch
-// calls (one forward per trace yields predictions AND loss — the old
+// score runs inference with the requested model version: spans are
+// assembled into traces and scored by one single-pass ScoreBatch call (one
+// forward per trace yields predictions AND loss — the old
 // PredictBatch-then-MeanLoss path ran the GNN twice per request). The model
 // itself comes from the registry's in-memory cache instead of a per-request
-// gob load.
+// gob load. At most maxInflightScores requests run inference at once; the
+// rest are shed once their traces are assembled.
 func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionStr string) {
+	obs.C("modelserver.score.requests").Inc()
 	start := time.Now()
 	// The score latency histogram carries the request's self-trace ID as its
 	// bucket exemplar, so a p99 spike on the watch dashboard points straight
@@ -560,7 +572,6 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 			float64(time.Since(start))/float64(time.Microsecond),
 			obs.TraceIDFrom(req.Context()))
 	}()
-	obs.C("modelserver.score.requests").Inc()
 	reqSpan := obs.SpanFrom(req.Context())
 	lsp := reqSpan.Child("model.load")
 	lsp.Annotate("model.ref", name+"@"+versionStr)
@@ -610,16 +621,21 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 	sort.Slice(traces, func(i, j int) bool { return traces[i].TraceID < traces[j].TraceID })
 	resp := ScoreResponse{Results: make([]ScoreResult, len(traces)), Skipped: skipped}
 	ssp := reqSpan.Child("model.score")
-	b := s.batcherFor(fmt.Sprintf("%s@%d", info.Name, info.Version), m)
-	durs, errs, losses := b.Score(traces)
+	durs, errs, losses, ok := s.scoreAdmitted(m, traces)
 	ssp.Annotate("traces", strconv.Itoa(len(traces)))
 	ssp.End()
+	if !ok {
+		obs.C("modelserver.score.shed").Inc()
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "score capacity exhausted", http.StatusServiceUnavailable)
+		return
+	}
 	for i, tr := range traces {
 		resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[i], ErrProb: errs[i]}
 	}
-	// The request's MeanLoss is the mean of its own traces' losses, summed
-	// in the same sorted-by-TraceID order MeanLoss would walk — identical
-	// bytes, one forward pass fewer.
+	// MeanLoss is the mean of the per-trace losses, summed in the same
+	// sorted-by-TraceID order MeanLoss would walk — identical bytes, one
+	// forward pass fewer.
 	if len(losses) > 0 {
 		total := 0.0
 		for _, l := range losses {

@@ -53,7 +53,7 @@ func CollectorRules() []Rule {
 }
 
 // ModelServerRules watches serving: score-latency SLO burn, request
-// error-rate burn, batcher queueing and model-score drift.
+// error-rate burn, admission-bound shedding and model-score drift.
 func ModelServerRules() []Rule {
 	return []Rule{
 		{
@@ -85,17 +85,17 @@ func ModelServerRules() []Rule {
 			MinCount:    3,
 		},
 		{
-			Name:      "modelserver_batch_queue_wait",
+			Name:      "modelserver_score_shedding",
 			Kind:      KindThreshold,
-			Series:    "modelserver.batch.queue_wait_us.p99",
+			Series:    "modelserver.score.shed",
 			Severity:  "warning",
 			Component: "modelserver",
 			Window:    Duration(5 * time.Minute),
-			Agg:       AggMean,
+			Agg:       AggDelta,
 			Op:        OpGT,
-			Value:     20000, // µs — queueing dominates the latency budget
-			MinCount:  3,
-			For:       Duration(1 * time.Minute),
+			Value:     0, // any /score request answered 503 at the admission bound
+			MinCount:  2,
+			For:       Duration(30 * time.Second),
 		},
 		{
 			Name:      "modelserver_score_drift",
