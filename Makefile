@@ -2,7 +2,7 @@ GO ?= go
 BENCHOUT ?= bench-records
 STAMP ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 
-.PHONY: build test race vet fmt verify bench bench-go bench-compare alloc fuzz-smoke obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke
+.PHONY: build test race vet fmt verify bench bench-go bench-compare bench-check alloc fuzz-smoke obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke
 
 build:
 	$(GO) build ./...
@@ -35,14 +35,17 @@ fmt:
 # regression must fire the stock burn-rate rule, link a resolvable
 # exemplar trace and resolve after recovery), the rca-smoke gate (the
 # default-on candidate pruning must predict root-cause sets identical to
-# the unpruned loop on the fixed seed suite), and the fuzz-smoke run of
+# the unpruned loop on the fixed seed suite), the fuzz-smoke run of
 # every native fuzz target (the OTLP scanner must agree with its
-# encoding/json oracle on every mutated input).
-verify: fmt vet build race alloc fuzz-smoke obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke
+# encoding/json oracle on every mutated input), and bench-check (the
+# end-to-end benchmark, a separate Go module, must still compile and pass
+# its tests against the current packages).
+verify: fmt vet build race alloc fuzz-smoke obs-overhead propagation-smoke serve-smoke alert-smoke rca-smoke bench-check
 
 # alloc runs the allocation-regression guards without the race detector:
 # the steady-state training step must allocate (essentially) nothing, the
-# per-trace predict cost must stay a small constant, the clustering
+# per-trace single-pass score cost (scoreOn: predictions and loss from one
+# forward) must stay at most 32 allocations, the clustering
 # engine's steady-state kernels (Eq. 1 merge, bounded-heap row selection,
 # packed-matrix access) must not allocate per call, the ingest tail
 # sampler's per-trace verdict must allocate nothing, the /score handler's
@@ -79,14 +82,26 @@ bench-go:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # bench-compare re-measures the hot paths (training step, pairwise distance
-# matrix, batched inference, HDBSCAN clustering pipeline, streaming ingest,
-# closed-loop serving) and prints ns/op, B/op and allocs/op deltas against
-# the committed baselines in $(BENCHOUT) — the regression gate for the
-# zero-allocation training work, the scale-out clustering engine, and the
-# single-pass serving path. Records carry the machine fingerprint they were
-# taken on; absolute deltas only mean something on the same machine.
+# matrix, batched ScoreBatch scoring, HDBSCAN clustering pipeline, streaming
+# ingest, closed-loop serving, localisation) and prints ns/op, B/op and
+# allocs/op deltas against the committed baselines in $(BENCHOUT) — the
+# regression gate for the zero-allocation training work, the scale-out
+# clustering engine, the single-pass serving path and the counterfactual
+# session. Records carry the machine fingerprint they were taken on; a
+# delta is printed only against a baseline from the same CPU, GOMAXPROCS
+# and Go version, and any other baseline (or one without a fingerprint)
+# prints "baseline from a different machine (…): no delta".
 bench-compare:
 	$(GO) run ./cmd/benchrunner -exp hot -baseline $(BENCHOUT)
+
+# bench-check compiles, vets and tests the end-to-end benchmark module
+# (e2ebench/, a separate Go module that `go build ./...` never reaches), so
+# a change that removes a package API the benchmark calls fails here
+# instead of at benchmark time. It needs no network and writes nothing
+# under e2ebench/.
+bench-check:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
 
 obs-overhead:
 	$(GO) test -bench='BenchmarkObsOverhead|BenchmarkSeriesAppend|BenchmarkTracePropagation' -benchtime=10000x -run=^$$ ./internal/obs
@@ -113,7 +128,8 @@ alert-smoke:
 
 # rca-smoke is the localisation-equivalence gate: with candidate pruning
 # on (the default), predicted root-cause sets must be identical to the
-# unpruned counterfactual loop's, query by query, on the fixed seed suite
-# — pruning buys latency, never accuracy.
+# unpruned counterfactual loop's, query by query, on the fixed seed suite.
+# That holds for this suite only: at Synthetic-1024 pruning changes some
+# verdicts (EXPERIMENTS.md, "Pruning at Synthetic-1024").
 rca-smoke:
 	$(GO) test -run 'TestRCASmokeEquivalence' -count=1 ./internal/rca

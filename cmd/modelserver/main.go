@@ -52,7 +52,7 @@ func main() {
 		selfpost = flag.String("selfpost", os.Getenv("SLEUTH_OBS_SELFPOST"),
 			"mirror sampled self-traces to this collector URL for the dogfood loop (SLEUTH_OBS_SELFPOST overrides the default)")
 		predictWorkers = flag.Int("predict-workers", 0,
-			"inference workers per /score request (0 = SLEUTH_PREDICT_WORKERS or GOMAXPROCS)")
+			"inference workers per /score request (0 = GOMAXPROCS)")
 		clusterStream = flag.Bool("cluster", false,
 			"enable the streaming clustering endpoints (/cluster/add, /cluster/stats, /cluster/rebuild)")
 		watchdog = flag.Bool("watchdog", true,

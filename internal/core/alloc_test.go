@@ -50,8 +50,8 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPredictSteadyStateAllocs bounds the per-trace allocation count of the
-// PredictBatch hot path. predictOn re-encodes the trace and copies the two
-// result rows out, so the bound is a small constant independent of span
+// ScoreBatch hot path. scoreOn re-encodes the trace and copies the two
+// prediction rows out, so the bound is a small constant independent of span
 // count — not zero, but nowhere near the per-op tape allocations the arena
 // eliminated.
 func TestPredictSteadyStateAllocs(t *testing.T) {
@@ -65,7 +65,7 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 	ar := tensor.NewArena()
 	i := 0
 	step := func() {
-		_, _ = m.predictOn(traces[i%len(traces)], ar)
+		_, _, _ = m.scoreOn(traces[i%len(traces)], ar)
 		ar.Reset()
 		i++
 	}
@@ -73,7 +73,7 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 		step()
 	}
 	if avg := testing.AllocsPerRun(100, step); avg > 32 {
-		t.Fatalf("steady-state predict allocates %.1f times per run, want <= 32", avg)
+		t.Fatalf("steady-state scoreOn allocates %.1f times per run, want <= 32", avg)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		step()
 	}
-	// Same per-trace budget as the predict gate (≤32: prediction copies +
+	// Same per-trace budget as the scoreOn gate (≤32: prediction copies +
 	// encode/loss constants), times 8 traces. A lost arena or a cold pool
 	// shows up as thousands of tape/slab allocations and trips this at once.
 	if avg := testing.AllocsPerRun(50, step); avg > 32*8 {

@@ -13,9 +13,9 @@ import (
 // CounterfactualSession amortises the fixed cost of counterfactual queries
 // against one trace. The localisation loop (§3.5) asks up to
 // MaxCandidates+1 counterfactual questions about the same trace with
-// growing restoration sets; the per-call path pays for the encoding, the
-// graph, n normal-state map lookups, two full feature copies and a depth
-// sort on every question. A session computes all of that once at
+// growing restoration sets. Answered from scratch, each question would pay
+// for the encoding, the graph, n normal-state map lookups, two full feature
+// copies and a depth sort. A session computes all of that once at
 // construction and, because consecutive restoration sets are nested,
 // applies or undoes only the delta rows between calls.
 //
@@ -26,10 +26,14 @@ import (
 // revisits only the dirty ancestor cone — O(branching × depth) work per
 // query instead of O(n) MLP rows plus O(n) node recomputations.
 //
-// Results are bit-identical to Model.Counterfactual — the session reuses
-// the same recompute pass and the arena-vs-heap op equality established by
-// the tensor arena engine — which TestCounterfactualSessionEquivalence
-// gates.
+// Aggregators without a row-exact kernel (GCN) run a full forward per
+// query and reuse everything else.
+//
+// Results are bit-identical to answering each question from scratch — the
+// session reuses the same recompute pass and the arena-vs-heap op equality
+// established by the tensor arena engine — which
+// TestCounterfactualSessionEquivalence gates against a naive from-scratch
+// oracle kept in test code.
 //
 // A session is not safe for concurrent use; concurrent localisations each
 // open their own session. Close returns the arena to the shared pool.
@@ -104,11 +108,18 @@ func (m *Model) NewCounterfactualSession(tr *trace.Trace) *CounterfactualSession
 	return s
 }
 
-// Counterfactual answers the same query as Model.Counterfactual for the
-// session's trace. Only rows whose restoration state changed since the
-// previous call are touched: newly restored rows are intervened to the
-// normal state, rows no longer in the set are undone from the pristine
-// encoding. restored is read, never retained.
+// Counterfactual answers the §3.5 query for the session's trace: what
+// would the root span's duration and error status be if the spans selected
+// by restored were returned to their normal state (median duration, no
+// error)? Inference is ancestral over the causal DAG: h parameters come
+// from one aggregation pass over the intervened features, then durations
+// and errors are recomputed bottom-up with Eq. 2 and Eq. 3, so a
+// restoration deep in the trace propagates through every ancestor.
+//
+// Only rows whose restoration state changed since the previous call are
+// touched: newly restored rows are intervened to the normal state, rows no
+// longer in the set are undone from the pristine encoding. restored is
+// read, never retained.
 func (s *CounterfactualSession) Counterfactual(restored map[int]bool) CounterfactualResult {
 	n := s.tr.Len()
 	s.changed = s.changed[:0]
@@ -169,7 +180,7 @@ func (s *CounterfactualSession) Counterfactual(restored map[int]bool) Counterfac
 
 // RowsUpdated reports how many feature-row toggles the session has applied
 // across all Counterfactual calls — the delta work actually done, versus
-// n rows per call on the per-call path.
+// n rows per question when each is answered from scratch.
 func (s *CounterfactualSession) RowsUpdated() int64 { return s.rowsUpdated }
 
 // Close returns the session's arena to the shared pool. The session must

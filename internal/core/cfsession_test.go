@@ -7,52 +7,61 @@ import (
 )
 
 // TestCounterfactualSessionEquivalence is the equivalence gate for the
-// incremental engine: across a nested sequence of restoration sets (the
+// counterfactual engine: across a nested sequence of restoration sets (the
 // exact access pattern of the §3.5 localisation loop) plus a shrink back
 // to a disjoint set (exercising row undo), every session result must be
-// bit-identical to the per-call Model.Counterfactual on the same inputs.
+// bit-identical to the from-scratch referenceCounterfactual on the same
+// inputs. GIN exercises the row-incremental kernel, GCN the full-forward
+// fallback.
 func TestCounterfactualSessionEquivalence(t *testing.T) {
 	app := synth.Synthetic(24, 7)
 	traces := simTraces(t, app, 7, 60)
-	m := NewModel(smallConfig(7))
-	if _, err := m.Train(traces, TrainOptions{Epochs: 2, Seed: 3}); err != nil {
-		t.Fatal(err)
+	for _, variant := range []Variant{VariantGIN, VariantGCN} {
+		t.Run(string(variant), func(t *testing.T) {
+			cfg := smallConfig(7)
+			cfg.Variant = variant
+			m := NewModel(cfg)
+			if _, err := m.Train(traces, TrainOptions{Epochs: 2, Seed: 3}); err != nil {
+				t.Fatal(err)
+			}
+			m.SetNormals(traces)
+			for ti, tr := range traces[:8] {
+				s := m.NewCounterfactualSession(tr)
+				for si, set := range equivalenceSets(tr.Len()) {
+					got := s.Counterfactual(set)
+					want := referenceCounterfactual(m, tr, set)
+					if got != want {
+						t.Fatalf("trace %d set %d: session %+v != reference %+v", ti, si, got, want)
+					}
+				}
+				if s.RowsUpdated() == 0 && tr.Len() > 1 {
+					t.Fatalf("trace %d: session reported no row updates", ti)
+				}
+				s.Close()
+			}
+		})
 	}
-	m.SetNormals(traces)
+}
 
-	for ti, tr := range traces[:8] {
-		s := m.NewCounterfactualSession(tr)
-		n := tr.Len()
-		// Nested prefix sets 0, {0}, {0,1}, ..., then an undo back to a
-		// disjoint suffix set.
-		sets := make([]map[int]bool, 0, 8)
-		cur := map[int]bool{}
-		sets = append(sets, map[int]bool{})
-		for i := 0; i < n && i < 5; i++ {
-			cur[i] = true
-			cp := make(map[int]bool, len(cur))
-			for k, v := range cur {
-				cp[k] = v
-			}
-			sets = append(sets, cp)
+// equivalenceSets returns the restoration sets the equivalence gate asks
+// about an n-span trace: nested prefix sets ∅, {0}, {0,1}, ..., then an
+// undo back to a disjoint suffix set.
+func equivalenceSets(n int) []map[int]bool {
+	sets := []map[int]bool{{}}
+	cur := map[int]bool{}
+	for i := 0; i < n && i < 5; i++ {
+		cur[i] = true
+		cp := make(map[int]bool, len(cur))
+		for k, v := range cur {
+			cp[k] = v
 		}
-		suffix := map[int]bool{n - 1: true}
-		if n > 2 {
-			suffix[n-2] = true
-		}
-		sets = append(sets, suffix)
-		for si, set := range sets {
-			got := s.Counterfactual(set)
-			want := m.Counterfactual(tr, set)
-			if got != want {
-				t.Fatalf("trace %d set %d: session %+v != per-call %+v", ti, si, got, want)
-			}
-		}
-		if s.RowsUpdated() == 0 && n > 1 {
-			t.Fatalf("trace %d: session reported no row updates", ti)
-		}
-		s.Close()
+		sets = append(sets, cp)
 	}
+	suffix := map[int]bool{n - 1: true}
+	if n > 2 {
+		suffix[n-2] = true
+	}
+	return append(sets, suffix)
 }
 
 // TestCounterfactualSessionDeltaRows checks the incremental claim itself:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"github.com/sleuth-rca/sleuth/internal/features"
 	"github.com/sleuth-rca/sleuth/internal/tensor"
@@ -17,59 +16,12 @@ type CounterfactualResult struct {
 	RootErrorProb float64
 }
 
-// Counterfactual answers the §3.5 query: given the observed trace, what
-// would the root span's duration and error status be if the spans selected
-// by restored were returned to their normal state (median duration, no
-// error)?
-//
-// Inference is ancestral over the causal DAG: h parameters are produced by
-// one aggregation pass over the intervened features, then durations and
-// errors are recomputed bottom-up with Eq. 2 and Eq. 3, so a restoration
-// deep in the trace propagates through every ancestor rather than only one
-// level.
-func (m *Model) Counterfactual(tr *trace.Trace, restored map[int]bool) CounterfactualResult {
-	enc := m.Encode(tr)
-	n := tr.Len()
-
-	// Intervene on the feature copies.
-	x := tensor.FromRows(enc.X)
-	xStar := tensor.FromRows(enc.XStar)
-	normalDur := make([]float64, n)  // µs restoration targets
-	normalExcl := make([]float64, n) // µs
-	for i := range tr.Spans {
-		norm := m.Normal(tr.Spans[i].OpKey())
-		normalDur[i] = math.Max(norm.MedianDuration, 1)
-		normalExcl[i] = math.Max(norm.MedianExclusiveDuration, 1)
-		if restored[i] {
-			x.Set(i, 0, features.ScaleDuration(int64(normalDur[i])))
-			x.Set(i, 1, 0)
-			xStar.Set(i, 0, features.ScaleDuration(int64(normalExcl[i])))
-			xStar.Set(i, 1, 0)
-		}
-	}
-
-	g := enc.Graph()
-	h := m.agg.Forward(g, xStar, x) // [n, headDim]
-
-	// Bottom-up ancestral recomputation, deepest spans first.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return tr.Depth(order[a]) > tr.Depth(order[b]) })
-
-	dur := make([]float64, n) // µs
-	errp := make([]float64, n)
-	return m.counterfactualRecompute(tr, func(i int) bool { return restored[i] },
-		normalDur, normalExcl, h, order, dur, errp)
-}
-
-// counterfactualRecompute is the shared bottom-up ancestral pass of a
+// counterfactualRecompute is the full bottom-up ancestral pass of a
 // counterfactual query (Eq. 2 / Eq. 3 over recomputed child values,
-// deepest spans first). Both the per-call Counterfactual and the
-// incremental CounterfactualSession delegate here so the two paths cannot
-// drift numerically; the scratch slices dur/errp must each have length
-// tr.Len() and are overwritten.
+// deepest spans first). CounterfactualSession runs it for its first query
+// and, for aggregators without a row-exact kernel, for every query; the
+// scratch slices dur/errp must each have length tr.Len() and are
+// overwritten.
 func (m *Model) counterfactualRecompute(tr *trace.Trace, restored func(int) bool,
 	normalDur, normalExcl []float64, h *tensor.Tensor, order []int, dur, errp []float64) CounterfactualResult {
 	for _, i := range order {
@@ -116,7 +68,7 @@ func (m *Model) counterfactualRecomputeDirty(tr *trace.Trace, restored func(int)
 
 // cfNode computes one node's Eq. 2 / Eq. 3 values from its children's
 // already-recomputed dur/errp entries — the single source of the
-// counterfactual math for the full, incremental and per-call paths.
+// counterfactual math for the full and incremental passes.
 func (m *Model) cfNode(tr *trace.Trace, restored func(int) bool,
 	normalDur, normalExcl []float64, h *tensor.Tensor, dur, errp []float64, i int) (float64, float64) {
 	kids := tr.Children(i)

@@ -30,7 +30,7 @@ func TestTrainReducesLoss(t *testing.T) {
 	app := synth.Synthetic(16, 1)
 	traces := simTraces(t, app, 1, 60)
 	m := NewModel(smallConfig(1))
-	before := m.MeanLoss(traces)
+	before := meanScoreLoss(m, traces)
 	stats, err := m.Train(traces, TrainOptions{Epochs: 4, LearningRate: 3e-3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestPredictShapesAndFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := traces[0]
-	dur, errp := m.Predict(tr)
+	dur, errp := scoreOne(m, tr)
 	if len(dur) != tr.Len() || len(errp) != tr.Len() {
 		t.Fatalf("prediction sizes %d/%d for %d spans", len(dur), len(errp), tr.Len())
 	}
@@ -80,7 +80,7 @@ func TestLeafPredictionsExact(t *testing.T) {
 	m := NewModel(smallConfig(3))
 	m.SetNormals(traces)
 	tr := traces[0]
-	dur, _ := m.Predict(tr)
+	dur, _ := scoreOne(m, tr)
 	enc := m.Encode(tr)
 	for i := range tr.Spans {
 		if len(tr.Children(i)) != 0 {
@@ -154,7 +154,7 @@ func TestCounterfactualRestorationReducesDuration(t *testing.T) {
 	}
 
 	// Restoring nothing ≈ observed duration.
-	obs := m.Counterfactual(anomalous, nil)
+	obs := referenceCounterfactual(m, anomalous, nil)
 	// Restoring the faulted service's spans must cut predicted duration.
 	restore := map[int]bool{}
 	for i, sp := range anomalous.Spans {
@@ -170,7 +170,7 @@ func TestCounterfactualRestorationReducesDuration(t *testing.T) {
 			}
 		}
 	}
-	cf := m.Counterfactual(anomalous, restore)
+	cf := referenceCounterfactual(m, anomalous, restore)
 	if cf.RootDurationMicros >= obs.RootDurationMicros {
 		t.Fatalf("restoration did not reduce predicted duration: %v -> %v",
 			obs.RootDurationMicros, cf.RootDurationMicros)
@@ -192,7 +192,7 @@ func TestCounterfactualUnrelatedRestorationSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := normal[0]
-	obs := m.Counterfactual(tr, nil)
+	obs := referenceCounterfactual(m, tr, nil)
 	// Restoring a single leaf of a normal trace should barely move the
 	// prediction (its duration is already ~normal).
 	leaf := -1
@@ -202,7 +202,7 @@ func TestCounterfactualUnrelatedRestorationSmall(t *testing.T) {
 			break
 		}
 	}
-	cf := m.Counterfactual(tr, map[int]bool{leaf: true})
+	cf := referenceCounterfactual(m, tr, map[int]bool{leaf: true})
 	rel := math.Abs(cf.RootDurationMicros-obs.RootDurationMicros) / obs.RootDurationMicros
 	if rel > 0.5 {
 		t.Fatalf("restoring a normal leaf changed the root by %.0f%%", rel*100)
@@ -227,8 +227,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if back.NumParams() != m.NumParams() {
 		t.Fatal("param count changed")
 	}
-	d1, e1 := m.Predict(traces[0])
-	d2, e2 := back.Predict(traces[0])
+	d1, e1 := scoreOne(m, traces[0])
+	d2, e2 := scoreOne(back, traces[0])
 	for i := range d1 {
 		if d1[i] != d2[i] || e1[i] != e2[i] {
 			t.Fatal("loaded model predicts differently")
@@ -253,8 +253,8 @@ func TestCloneIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.Clone()
-	d1, _ := m.Predict(traces[0])
-	d2, _ := c.Predict(traces[0])
+	d1, _ := scoreOne(m, traces[0])
+	d2, _ := scoreOne(c, traces[0])
 	for i := range d1 {
 		if d1[i] != d2[i] {
 			t.Fatal("clone predicts differently")
@@ -264,7 +264,7 @@ func TestCloneIndependent(t *testing.T) {
 	if _, err := c.FineTune(traces[:10], TrainOptions{Epochs: 1, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	d3, _ := m.Predict(traces[0])
+	d3, _ := scoreOne(m, traces[0])
 	for i := range d1 {
 		if d1[i] != d3[i] {
 			t.Fatal("fine-tuning a clone mutated the original")
@@ -285,7 +285,7 @@ func TestTransferAcrossApps(t *testing.T) {
 	}
 	// Zero-shot: only normals come from the new app.
 	m.SetNormals(tracesB)
-	dur, errp := m.Predict(tracesB[0])
+	dur, errp := scoreOne(m, tracesB[0])
 	if len(dur) != tracesB[0].Len() {
 		t.Fatal("prediction size mismatch on transfer")
 	}
@@ -300,7 +300,7 @@ func TestGCNVariantTrains(t *testing.T) {
 	app := synth.Synthetic(16, 11)
 	traces := simTraces(t, app, 11, 30)
 	m := NewModel(Config{EmbeddingDim: 8, Hidden: 24, Variant: VariantGCN, Seed: 11})
-	before := m.MeanLoss(traces)
+	before := meanScoreLoss(m, traces)
 	st, err := m.Train(traces, TrainOptions{Epochs: 3, LearningRate: 3e-3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -335,18 +335,5 @@ func BenchmarkTrainStep16(b *testing.B) {
 		if _, err := m.Train(traces[:4], TrainOptions{Epochs: 1, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkCounterfactual(b *testing.B) {
-	app := synth.Synthetic(64, 14)
-	traces := simTraces(b, app, 14, 4)
-	m := NewModel(smallConfig(14))
-	m.SetNormals(traces)
-	tr := traces[0]
-	restore := map[int]bool{0: true, 1: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Counterfactual(tr, restore)
 	}
 }

@@ -77,6 +77,9 @@ func TestBatchSizeOneMatchesLegacySGD(t *testing.T) {
 	}
 }
 
+// TestPredictBatchMatchesPredict checks ScoreBatch's predictions on a
+// trained model, at one and at several workers, against the from-scratch
+// referencePredict forward.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	app := synth.Synthetic(16, 32)
 	traces := simTraces(t, app, 32, 12)
@@ -85,9 +88,9 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		durs, errs := m.PredictBatch(traces, workers)
+		durs, errs, _ := m.ScoreBatch(traces, workers)
 		for i, tr := range traces {
-			d, e := m.Predict(tr)
+			d, e := referencePredict(m, tr)
 			if len(durs[i]) != tr.Len() {
 				t.Fatalf("workers=%d trace %d: %d predictions for %d spans",
 					workers, i, len(durs[i]), tr.Len())
@@ -142,28 +145,12 @@ func TestBatchSizeClamped(t *testing.T) {
 	app := synth.Synthetic(16, 34)
 	traces := simTraces(t, app, 34, 6)
 	m := NewModel(smallConfig(34))
-	before := m.MeanLoss(traces)
+	before := meanScoreLoss(m, traces)
 	st, err := m.Train(traces, TrainOptions{Epochs: 6, BatchSize: 64, LearningRate: 3e-3, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.FinalLoss >= before {
 		t.Fatalf("full-batch training did not reduce loss: %v -> %v", before, st.FinalLoss)
-	}
-}
-
-func TestMeanLossParallelDeterministic(t *testing.T) {
-	app := synth.Synthetic(16, 35)
-	traces := simTraces(t, app, 35, 10)
-	m := NewModel(smallConfig(35))
-	m.SetNormals(traces)
-	ref := m.MeanLoss(traces)
-	// Sequential reference computed by hand in the same index order.
-	total := 0.0
-	for _, tr := range traces {
-		total += m.Loss(m.Encode(tr)).Item()
-	}
-	if want := total / float64(len(traces)); ref != want {
-		t.Fatalf("MeanLoss = %v, sequential reference = %v", ref, want)
 	}
 }

@@ -268,7 +268,7 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 			rejected++
 			continue
 		}
-		i := shardIndex(s.TraceID, n)
+		i := trace.ShardIndex(s.TraceID, n)
 		buckets[i] = append(buckets[i], s)
 	}
 	if rejected > 0 {
@@ -291,20 +291,6 @@ func (p *Pipeline) Submit(spans []*trace.Span) (accepted, rejected, dropped int)
 		p.noteDrop(dropped)
 	}
 	return accepted, rejected, dropped
-}
-
-// shardIndex hashes a trace ID onto a pipeline shard (FNV-1a, unsalted —
-// the sampler's hash is salted so the two decisions decorrelate).
-func shardIndex(id string, n int) int {
-	if n == 1 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
 }
 
 func (p *Pipeline) noteDrop(n int) {

@@ -66,25 +66,6 @@ func NewSampler(rate, tailPct float64) *Sampler {
 	return s
 }
 
-// hash64 is FNV-1a over the trace ID — the same family the store uses for
-// sharding, salted so sampling and shard placement decorrelate — run
-// through a murmur3-style finalizer: the probabilistic verdict compares the
-// whole 64-bit value against a threshold, and raw FNV of short IDs is not
-// uniform enough in its high bits for the kept fraction to track the rate.
-func hash64(id string) uint64 {
-	h := uint64(14695981039346656037) ^ 0x5a5a5a5a5a5a5a5a
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
 // Keep decides one trace: hasError is whether any span errored, root is
 // the trace's root span (nil when undeterminable), traceID drives the
 // probabilistic verdict. The decision allocates nothing.
@@ -100,7 +81,7 @@ func (s *Sampler) Keep(hasError bool, root *trace.Span, traceID string) (bool, k
 			}
 		}
 	}
-	if s.keepAll || hash64(traceID) < s.threshold {
+	if s.keepAll || trace.SampleHash(traceID, trace.IngestSampleSalt) < s.threshold {
 		return true, keptProb
 	}
 	return false, shedProb

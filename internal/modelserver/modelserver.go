@@ -343,8 +343,8 @@ type Server struct {
 	// (method, path, status, duration, request ID). The request ID is
 	// echoed in the X-Request-ID response header either way.
 	AccessLog *log.Logger
-	// Serve tunes the /score inference call; the zero value resolves
-	// SLEUTH_PREDICT_WORKERS, then GOMAXPROCS.
+	// Serve tunes the /score inference call; the zero value uses
+	// GOMAXPROCS workers.
 	Serve ServeConfig
 	// Cluster, when non-nil, enables the streaming clustering endpoints
 	// (/cluster/add, /cluster/stats, /cluster/rebuild).
@@ -360,8 +360,8 @@ type Server struct {
 
 // ServeConfig tunes the /score serving path.
 type ServeConfig struct {
-	// Workers is passed to core's ScoreBatch per request; 0 defers to
-	// SLEUTH_PREDICT_WORKERS, then GOMAXPROCS.
+	// Workers is passed to core's ScoreBatch per request; 0 selects
+	// GOMAXPROCS.
 	Workers int
 }
 
@@ -556,8 +556,8 @@ type ScoreResponse struct {
 
 // score runs inference with the requested model version: spans are
 // assembled into traces and scored by one single-pass ScoreBatch call (one
-// forward per trace yields predictions AND loss — the old
-// PredictBatch-then-MeanLoss path ran the GNN twice per request). The model
+// forward per trace yields predictions AND loss — the old path ran the
+// GNN once for predictions and again for the loss). The model
 // itself comes from the registry's in-memory cache instead of a per-request
 // gob load. At most maxInflightScores requests run inference at once; the
 // rest are shed once their traces are assembled.
@@ -633,9 +633,8 @@ func (s *Server) score(w http.ResponseWriter, req *http.Request, name, versionSt
 	for i, tr := range traces {
 		resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[i], ErrProb: errs[i]}
 	}
-	// MeanLoss is the mean of the per-trace losses, summed in the same
-	// sorted-by-TraceID order MeanLoss would walk — identical bytes, one
-	// forward pass fewer.
+	// MeanLoss is the mean of the per-trace losses, summed in
+	// sorted-by-TraceID order so the bytes do not depend on scheduling.
 	if len(losses) > 0 {
 		total := 0.0
 		for _, l := range losses {

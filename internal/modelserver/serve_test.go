@@ -77,17 +77,22 @@ func postScore(url string, traces []*trace.Trace) (ScoreResponse, error) {
 	return out, err
 }
 
-// expectResponse computes the reference ScoreResponse for one
-// request directly on the in-memory model.
+// expectResponse computes the reference ScoreResponse for one request
+// directly on the in-memory model, scoring one trace at a time on a single
+// worker and summing the losses in sorted order. Comparing served
+// responses against it checks that request composition and concurrency
+// change no bits.
 func expectResponse(m *core.Model, traces []*trace.Trace) ScoreResponse {
 	sorted := append([]*trace.Trace(nil), traces...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].TraceID < sorted[j].TraceID })
 	resp := ScoreResponse{Results: make([]ScoreResult, len(sorted))}
+	total := 0.0
 	for i, tr := range sorted {
-		dur, errp := m.Predict(tr)
-		resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: dur, ErrProb: errp}
+		durs, errs, losses := m.ScoreBatch([]*trace.Trace{tr}, 1)
+		resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[0], ErrProb: errs[0]}
+		total += losses[0]
 	}
-	resp.MeanLoss = m.MeanLoss(sorted)
+	resp.MeanLoss = total / float64(len(sorted))
 	return resp
 }
 
@@ -146,9 +151,9 @@ func TestBatchedScoreBitIdentical(t *testing.T) {
 }
 
 // TestScoreSinglePass is the op-count gate for the double-forward fix: one
-// /score request over n traces must run the score kernel exactly n times
-// and the predict kernel zero times (the old path ran predict n times AND
-// loss n times — two forwards per trace).
+// /score request over n traces must run the single-pass score kernel
+// exactly n times (the old path ran one forward for predictions and
+// another for the loss — two per trace).
 func TestScoreSinglePass(t *testing.T) {
 	obs.Disable()
 	obs.Enable()
@@ -160,9 +165,6 @@ func TestScoreSinglePass(t *testing.T) {
 	scoreVia(t, srv.URL, query)
 	if got := obs.C("core.score.traces").Value(); got != int64(len(query)) {
 		t.Fatalf("score kernel ran %d traces, want %d", got, len(query))
-	}
-	if got := obs.C("core.predict.traces").Value(); got != 0 {
-		t.Fatalf("predict kernel ran %d traces, want 0 (double forward is back)", got)
 	}
 }
 
@@ -503,8 +505,9 @@ func TestClusterEndpoints(t *testing.T) {
 
 // TestServeLatencySmoke is the make-verify gate for the serving rework:
 // under 8 concurrent clients the default server's p99 must beat the
-// original path (per-request disk model load + PredictBatch + separate
-// MeanLoss), reproduced here as a legacy handler over the same registry.
+// original path (per-request disk model load + one forward pass for the
+// predictions + another for the losses), reproduced here as a legacy
+// handler over the same registry.
 func TestServeLatencySmoke(t *testing.T) {
 	reg, _, query := servingFixture(t, 31, 16)
 	shipped := httptest.NewServer((&Server{Registry: reg}).Handler())
@@ -526,11 +529,18 @@ func TestServeLatencySmoke(t *testing.T) {
 		traces, skipped := trace.AssembleAll(body.Spans)
 		sort.Slice(traces, func(i, j int) bool { return traces[i].TraceID < traces[j].TraceID })
 		resp := ScoreResponse{Results: make([]ScoreResult, len(traces)), Skipped: skipped}
-		durs, errs := m.PredictBatch(traces, 0)
+		durs, errs, _ := m.ScoreBatch(traces, 0)
 		for i, tr := range traces {
 			resp.Results[i] = ScoreResult{TraceID: tr.TraceID, DurScaled: durs[i], ErrProb: errs[i]}
 		}
-		resp.MeanLoss = m.MeanLoss(traces)
+		_, _, losses := m.ScoreBatch(traces, 0)
+		total := 0.0
+		for _, l := range losses {
+			total += l
+		}
+		if len(losses) > 0 {
+			resp.MeanLoss = total / float64(len(losses))
+		}
 		writeJSON(w, resp)
 	}))
 	defer legacy.Close()

@@ -73,7 +73,7 @@ type TraceRing struct {
 	seq     uint64
 
 	// keepAll/threshold implement the hash-shed verdict for healthy traces
-	// (same construction as the ingest tail sampler, differently salted).
+	// (trace.SampleHash, as in the ingest tail sampler, differently salted).
 	keepAll   bool
 	threshold uint64
 
@@ -100,24 +100,6 @@ func NewTraceRing(capacity int, rate float64) *TraceRing {
 		r.threshold = uint64(rate * float64(^uint64(0)>>1) * 2)
 	}
 	return r
-}
-
-// ringHash64 is salted FNV-1a with a murmur-style finalizer over the trace
-// ID — the ingest tail sampler's construction with a different salt, so the
-// self-trace ring and the ingest pipeline shed decorrelated subsets.
-// (Duplicated rather than imported: internal/ingest depends on obs.)
-func ringHash64(id string) uint64 {
-	h := uint64(14695981039346656037) ^ 0xc3a5c85c97cb3127
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
 }
 
 // ringRootSpan picks the entry span: the first parentless span, else the
@@ -180,7 +162,7 @@ func (r *TraceRing) Add(spans []*trace.Span) bool {
 		return true
 	}
 	outlier := r.noteOutlierLocked(root)
-	if !hasError && !outlier && !r.keepAll && ringHash64(traceID) >= r.threshold {
+	if !hasError && !outlier && !r.keepAll && trace.SampleHash(traceID, trace.TraceRingSalt) >= r.threshold {
 		C("obs.selftrace.shed").Inc()
 		return false
 	}

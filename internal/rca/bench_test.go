@@ -71,9 +71,8 @@ func widePlan(app *synth.App) *chaos.Plan {
 	return chaos.NewPlan(app, faults...)
 }
 
-// BenchmarkLocalize measures one localisation query across engines and app
-// scales: "reference" is the pre-session per-call counterfactual loop,
-// "unpruned" the session engine with pruning off, "pruned" the shipped
+// BenchmarkLocalize measures one localisation query across app scales:
+// "unpruned" is the session engine with pruning off, "pruned" the shipped
 // default (session + candidate pruning).
 func BenchmarkLocalize(b *testing.B) {
 	for _, rpcs := range []int{64, 256} {
@@ -87,9 +86,6 @@ func BenchmarkLocalize(b *testing.B) {
 			name     string
 			localize func(tr *trace.Trace) []string
 		}{
-			{"reference", func(tr *trace.Trace) []string {
-				return NewLocalizer(f.model, unprunedOpts).LocalizeReference(tr, f.slo).Services
-			}},
 			{"unpruned", func(tr *trace.Trace) []string {
 				return NewLocalizer(f.model, unprunedOpts).Localize(tr, f.slo)
 			}},
@@ -109,7 +105,7 @@ func BenchmarkLocalize(b *testing.B) {
 }
 
 // BenchmarkCounterfactualSession isolates the engine cost: a 6-iteration
-// nested restoration sequence per op, session-cached vs per-call.
+// nested restoration sequence per op on a fresh session.
 func BenchmarkCounterfactualSession(b *testing.B) {
 	f := newFixtureSized(b, 32, 256)
 	queries := benchQueries(b, f, 2)
@@ -124,22 +120,13 @@ func BenchmarkCounterfactualSession(b *testing.B) {
 		}
 		sets = append(sets, cp)
 	}
-	b.Run("per-call", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, set := range sets {
-				_ = f.model.Counterfactual(tr, set)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := f.model.NewCounterfactualSession(tr)
+		for _, set := range sets {
+			_ = s.Counterfactual(set)
 		}
-	})
-	b.Run("session", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := f.model.NewCounterfactualSession(tr)
-			for _, set := range sets {
-				_ = s.Counterfactual(set)
-			}
-			s.Close()
-		}
-	})
+		s.Close()
+	}
 }

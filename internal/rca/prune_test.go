@@ -161,13 +161,12 @@ func TestLocalizeExplainArtifact(t *testing.T) {
 // TestRCASmokeEquivalence is the `make verify` rca-smoke gate: on the
 // fixed seed suite below, the pruned localiser must predict root-cause
 // sets identical to the unpruned one, query by query, across slowdown and
-// error fault plans — so default-on pruning provably costs no accuracy on
-// the seeded eval traces. (Universal set-equality is not a property real
-// pruning can have: a marginal trace can normalise only once a
-// statistically-normal candidate is restored, in which case the pruned
-// answer is the higher-precision one. The fixed suite pins the
-// overwhelmingly common agreeing behaviour; DESIGN.md §15 documents the
-// edge.)
+// error fault plans. The claim holds for this suite only, not in general:
+// a marginal trace can normalise only once a statistically-normal
+// candidate is restored, in which case the pruned answer differs (and is
+// the higher-precision one). At Synthetic-1024 pruning does change
+// verdicts (EXPERIMENTS.md, "Pruning at Synthetic-1024"); DESIGN.md §15
+// documents the edge.
 func TestRCASmokeEquivalence(t *testing.T) {
 	compared, trueRootPruned, trueRootUnpruned := 0, 0, 0
 	for _, seed := range []uint64{20, 21, 22} {
@@ -225,32 +224,6 @@ func TestRCASmokeEquivalence(t *testing.T) {
 			trueRootPruned, compared, trueRootUnpruned, compared)
 	}
 	t.Logf("rca-smoke: %d queries, identical sets, true-root hits %d", compared, trueRootPruned)
-}
-
-// TestLocalizeReferenceMatchesUnpruned: the benchmark baseline must be a
-// faithful reproduction of the production path modulo engine — the
-// session-backed loop with pruning off predicts exactly what the per-call
-// reference loop predicts, on every query.
-func TestLocalizeReferenceMatchesUnpruned(t *testing.T) {
-	f := newFixture(t, 18)
-	opts := f.loc.Opts
-	opts.Prune = false
-	unpruned := NewLocalizer(f.model, opts)
-	svc := f.app.ServiceAtCallDepth(1)
-	name := f.app.Services[svc].Name
-	plan := slowPlan(f.app, name, 60)
-	for id := 0; id < 25; id++ {
-		sample, err := f.sim.SimulateWithTruth(id, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := sample.Result.Trace
-		got := unpruned.LocalizeDetailed(tr, f.slo)
-		want := unpruned.LocalizeReference(tr, f.slo)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trace %d: session loop %+v != reference loop %+v", id, got, want)
-		}
-	}
 }
 
 // TestLocalizeBatchDeterministicWithPruning checks batch localisation with

@@ -360,39 +360,6 @@ func (l *Localizer) localizeDetailed(tr *trace.Trace, sloMicros float64) Result 
 	return finish(l.result(tr, []string{cands[0].service}, false, cf.RootDurationMicros))
 }
 
-// LocalizeReference runs the pre-session, unpruned localisation loop: one
-// full per-call Model.Counterfactual per restoration step — re-encoding
-// the trace, rebuilding feature copies and re-sorting the depth order
-// every iteration — with no pruning stage. It is the measurement baseline
-// for `benchrunner -exp rca` and BenchmarkLocalize, and a behavioural
-// reference: its predictions are identical to Localize with pruning off
-// (the session engine is bit-equivalent to the per-call path). It records
-// no telemetry.
-func (l *Localizer) LocalizeReference(tr *trace.Trace, sloMicros float64) Result {
-	cands := l.Candidates(tr)
-	if len(cands) == 0 {
-		return Result{}
-	}
-	max := l.Opts.MaxCandidates
-	if max > len(cands) {
-		max = len(cands)
-	}
-	restored := make(map[int]bool)
-	var used []string
-	for k := 0; k < max; k++ {
-		for _, si := range cands[k].spans {
-			restored[si] = true
-		}
-		used = append(used, cands[k].service)
-		cf := l.Model.Counterfactual(tr, restored)
-		if cf.RootDurationMicros <= sloMicros && cf.RootErrorProb < l.Opts.ErrThreshold {
-			return l.result(tr, used, true, cf.RootDurationMicros)
-		}
-	}
-	cf := l.Model.Counterfactual(tr, spanSet(cands[0].spans))
-	return l.result(tr, []string{cands[0].service}, false, cf.RootDurationMicros)
-}
-
 func spanSet(idx []int) map[int]bool {
 	m := make(map[int]bool, len(idx))
 	for _, i := range idx {

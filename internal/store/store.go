@@ -85,20 +85,7 @@ func NewSharded(n int) *Store {
 // Shards returns the number of shards.
 func (s *Store) Shards() int { return len(s.shards) }
 
-// shardIndex hashes a trace ID onto a shard with FNV-1a.
-func shardIndex(id string, n int) int {
-	if n == 1 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
-}
-
-func (s *Store) shardFor(id string) *shard { return s.shards[shardIndex(id, len(s.shards))] }
+func (s *Store) shardFor(id string) *shard { return s.shards[trace.ShardIndex(id, len(s.shards))] }
 
 // add ingests spans into one shard. Every span must hash to this shard.
 func (sh *shard) add(spans []*trace.Span) {
@@ -131,10 +118,10 @@ func (s *Store) AddSpans(spans []*trace.Span) {
 	}
 	// Fast path: batches carrying a single trace (the common shape from the
 	// ingest writer) land on one shard with one lock acquisition.
-	first := shardIndex(spans[0].TraceID, n)
+	first := trace.ShardIndex(spans[0].TraceID, n)
 	uniform := true
 	for _, sp := range spans[1:] {
-		if shardIndex(sp.TraceID, n) != first {
+		if trace.ShardIndex(sp.TraceID, n) != first {
 			uniform = false
 			break
 		}
@@ -145,7 +132,7 @@ func (s *Store) AddSpans(spans []*trace.Span) {
 	}
 	buckets := make([][]*trace.Span, n)
 	for _, sp := range spans {
-		i := shardIndex(sp.TraceID, n)
+		i := trace.ShardIndex(sp.TraceID, n)
 		buckets[i] = append(buckets[i], sp)
 	}
 	for i, b := range buckets {
